@@ -32,13 +32,14 @@ import numpy as np
 from repro.amr.boundary import set_boundary_values
 from repro.amr.defense import DefenseLadder
 from repro.amr.flux_correction import accumulate_boundary_fluxes, correct_level
+from repro.amr.gravity import dm_density
 from repro.amr.projection import project_level
 from repro.amr.rebuild import rebuild_hierarchy
 from repro.chemistry.network import ChemistryStepStats
 from repro.exec import ChemistryTask, ExecutionEngine, GravityAccelTask, HydroTask
 from repro.hydro.timestep import accel_timestep, expansion_timestep, hydro_timestep, particle_timestep
 from repro.kernels import dispatch as kernel_dispatch
-from repro.nbody.cic import cic_deposit
+from repro.nbody.cic import cic_deposit  # noqa: F401 -- perfbench's tracer wraps this global
 from repro.precision.doubledouble import DoubleDouble
 from repro.runtime.faults import active as _active_faults
 from repro.runtime.faults import maybe_sleep as _maybe_sleep_fault
@@ -512,9 +513,8 @@ class HierarchyEvolver:
         for g in h.level_grids(level):
             if not unassigned.any():
                 break
-            sel = np.nonzero(
-                parts.in_region(g.left_edge, g.right_edge) & unassigned
-            )[0]
+            sel = h.particles_in_region(g.left_edge, g.right_edge)
+            sel = sel[unassigned[sel]]
             if len(sel) == 0:
                 continue
             unassigned[sel] = False
@@ -570,20 +570,7 @@ class HierarchyEvolver:
             grid.fields["energy"] = total_energy(grid.fields)
 
     def _dm_density(self, grid) -> np.ndarray | None:
-        parts = self.hierarchy.particles
-        if len(parts) == 0:
-            return None
-        shape = tuple(int(d) for d in grid.dims)
-        periodic = grid.level == 0 and np.all(grid.dims == self.hierarchy.n_root)
-        if periodic:
-            offsets = parts.positions.hi + parts.positions.lo
-            return cic_deposit(offsets, parts.masses, shape, grid.dx, periodic=True)
-        mask = parts.in_region(grid.left_edge - grid.dx, grid.right_edge + grid.dx)
-        if not mask.any():
-            return None
-        sel = parts.select(mask)
-        offsets = (sel.positions.hi + sel.positions.lo) - grid.left_edge
-        return cic_deposit(offsets, sel.masses, shape, grid.dx, periodic=False)
+        return dm_density(self.hierarchy, grid)
 
     # ---------------------------------------------------------------- timers
     def _timed(self, section: str, fn, *args):

@@ -19,6 +19,29 @@ from repro.nbody.cic import cic_deposit, cic_gather
 from repro.runtime.faults import take as _take_fault
 
 
+def dm_density(hierarchy, grid) -> np.ndarray | None:
+    """Dark-matter comoving density CIC-deposited on a grid's interior.
+
+    The full-box root grid takes every particle on a periodic mesh.  Any
+    other grid takes the particles within one cell of it, so its boundary
+    cells receive their share of straddling clouds, and drops the mass that
+    falls outside.  ``None`` when no particle reaches the grid.
+    """
+    parts = hierarchy.particles
+    if len(parts) == 0:
+        return None
+    shape = tuple(int(d) for d in grid.dims)
+    if grid.level == 0 and np.all(grid.dims == hierarchy.n_root):
+        offsets = parts.positions.hi + parts.positions.lo
+        return cic_deposit(offsets, parts.masses, shape, grid.dx, periodic=True)
+    sel = hierarchy.particles_in_region(grid.left_edge - grid.dx,
+                                        grid.right_edge + grid.dx)
+    if len(sel) == 0:
+        return None
+    offsets = (parts.positions.hi[sel] + parts.positions.lo[sel]) - grid.left_edge
+    return cic_deposit(offsets, parts.masses[sel], shape, grid.dx, periodic=False)
+
+
 class HierarchyGravity:
     """Level-by-level Poisson solves with sibling iteration.
 
@@ -49,26 +72,9 @@ class HierarchyGravity:
     def total_density(self, hierarchy, grid) -> np.ndarray:
         """Gas + deposited dark-matter comoving density on the interior."""
         rho = grid.field_view("density").copy()
-        parts = hierarchy.particles
-        if len(parts) == 0:
-            return rho
-        periodic = grid.level == 0 and np.all(grid.dims == hierarchy.n_root)
-        if periodic:
-            offsets = parts.positions.hi + parts.positions.lo
-            rho += cic_deposit(offsets, parts.masses, rho.shape, grid.dx, periodic=True)
-        else:
-            # take particles within one cell of the grid so boundary cells
-            # receive their share of straddling clouds
-            pad = grid.dx
-            mask = parts.in_region(grid.left_edge - pad, grid.right_edge + pad)
-            if mask.any():
-                sel = parts.select(mask)
-                offsets = (
-                    sel.positions.hi + sel.positions.lo
-                ) - grid.left_edge
-                rho += cic_deposit(
-                    offsets, sel.masses, rho.shape, grid.dx, periodic=False
-                )
+        dm = dm_density(hierarchy, grid)
+        if dm is not None:
+            rho += dm
         return rho
 
     def source(self, hierarchy, grid, a: float) -> np.ndarray:

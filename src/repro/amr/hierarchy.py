@@ -8,7 +8,8 @@ refinement criteria and the run budget, not the data structure.
 Dark-matter particles live in one global :class:`ParticleSet` (the
 functional equivalent of Enzo's per-grid ownership without the migration
 bookkeeping); each level's solvers select the particles in their region on
-demand, and each particle is *advanced* by the finest level containing it.
+demand through a cached root-cell index (:meth:`Hierarchy.particles_in_region`),
+and each particle is *advanced* by the finest level containing it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class Hierarchy:
         self._sibling_maps: dict[int, tuple[int, dict]] = {}
         self._particle_epoch = 0
         self._plevel_cache: tuple[tuple, np.ndarray] | None = None
+        self._pindex_cache: tuple[tuple, tuple] | None = None
         #: recycled field-array buffers (repro.amr.pool); rebuild-created
         #: grids draw from it, retired grids release into it
         self.pool = FieldArrayPool()
@@ -92,7 +94,8 @@ class Hierarchy:
         self.notify_particles_moved()
 
     def notify_particles_moved(self) -> None:
-        """Invalidate the particle-level cache after positions change."""
+        """Invalidate the particle-level and region-index caches after
+        positions change."""
         self._particle_epoch += 1
 
     @property
@@ -304,16 +307,65 @@ class Hierarchy:
         return level_of
 
     def _compute_particle_levels(self) -> np.ndarray:
-        pos = self.particles.positions.hi + self.particles.positions.lo
         level_of = np.zeros(len(self.particles), dtype=np.int32)
         for lvl in range(1, len(self.levels)):
-            covered = np.zeros(len(self.particles), dtype=bool)
             for g in self.levels[lvl]:
-                covered |= np.all(
-                    (pos >= g.left_edge) & (pos < g.right_edge), axis=1
-                )
-            level_of[covered] = lvl
+                level_of[self.particles_in_region(g.left_edge, g.right_edge)] = lvl
         return level_of
+
+    def particles_in_region(self, left_edge, right_edge) -> np.ndarray:
+        """Ascending indices of the particles inside ``[left, right)``.
+
+        The same set, in the same order, as
+        ``np.nonzero(self.particles.in_region(left, right))[0]``, but only
+        the particles binned in the root cells overlapping the box (widened
+        by one cell, clipped to the unit box) are tested.  The test itself
+        is ``in_region``'s exact float64 compare, so membership at cell
+        faces is unchanged, and the candidates are sorted first so every
+        consumer sees particles in their storage order.
+        """
+        pos, order, starts = self._particle_index()
+        n = self.n_root
+        lo = np.clip(np.floor(np.asarray(left_edge, float) * n) - 1, 0, n - 1)
+        # clipping at lo (not 0) makes an inverted box gather one cell only
+        hi = np.clip(np.floor(np.asarray(right_edge, float) * n) + 1, lo, n - 1)
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        # each (x, y) root-cell column is one contiguous run of the
+        # z-ordered bins: gather the runs as one flat index vector
+        ix = np.arange(lo[0], hi[0] + 1)
+        iy = np.arange(lo[1], hi[1] + 1)
+        base = ((ix[:, None] * n + iy[None, :]) * n).ravel()
+        first = starts[base + lo[2]]
+        counts = starts[base + hi[2] + 1] - first
+        shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        cand = np.sort(order[shift + np.arange(int(counts.sum()))])
+        p = pos[cand]
+        return cand[np.all((p >= left_edge) & (p < right_edge), axis=1)]
+
+    def _particle_index(self) -> tuple:
+        """``(positions, order, bin starts)`` of the root-cell binning.
+
+        ``order`` sorts the particles (stably) by their flattened root-cell
+        key; the particles of cell ``k`` are ``order[starts[k]:starts[k+1]]``.
+        Cached on the particle epoch and the identity of the particle set.
+        """
+        key = (self._particle_epoch, id(self._particles))
+        if self._pindex_cache is not None and self._pindex_cache[0] == key:
+            return self._pindex_cache[1]
+        n = self.n_root
+        pos = self._particles.positions.hi + self._particles.positions.lo
+        # a non-finite position bins to a corner cell; the exact compare
+        # in particles_in_region still rejects it everywhere
+        cell = np.clip(np.nan_to_num(np.floor(pos * n)), 0, n - 1)
+        # the narrowest key dtype lets the stable argsort run as a radix sort
+        flat = ((cell[:, 0] * n + cell[:, 1]) * n + cell[:, 2]).astype(
+            np.min_scalar_type(n**3 - 1))
+        order = np.argsort(flat, kind="stable")
+        starts = np.zeros(n**3 + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=n**3), out=starts[1:])
+        index = (pos, order, starts)
+        self._pindex_cache = (key, index)
+        return index
 
     def _timed_topology(self, fn, *args):
         if self.timers is None:

@@ -1,10 +1,16 @@
-"""Hierarchy checkpointing to compressed npz.
+"""Hierarchy checkpointing to uncompressed npz.
 
 Layout: one flat npz with a JSON-encoded manifest describing the tree
 structure and one array entry per grid field.  Extended-precision values
 (particle positions, per-grid times) are stored as their (hi, lo) word
 pairs so restarts are bit-exact — a float64 round-trip would silently
 destroy exactly the precision the paper's Sec. 3.5 exists to protect.
+
+Entries are stored, not deflated: the files are about 1.7x larger, but a
+save no longer spends nearly all its time in zlib.  ``np.load`` reads both
+layouts, so legacy compressed checkpoints still load, and the
+sha256 sidecars (:mod:`repro.runtime.checkpoint_policy`) guard integrity
+either way.
 
 Durability: :func:`save_hierarchy` is atomic — it writes to ``<path>.tmp``,
 fsyncs, then ``os.replace``s onto the final name — so a crash mid-write
@@ -132,7 +138,7 @@ def save_hierarchy(hierarchy: Hierarchy, path: str, timers=None) -> None:
     tmp = path + ".tmp"
     with _io_section(timers):
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            np.savez(fh, **arrays)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

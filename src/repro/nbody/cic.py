@@ -37,7 +37,6 @@ def cic_deposit(
     shape,
     dx: float,
     periodic: bool = True,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Deposit particle masses onto a density grid (mass / cell-volume).
 
@@ -46,7 +45,7 @@ def cic_deposit(
     (the AMR layer guarantees particles are deposited on a grid that
     contains them, so nothing is lost globally).
     """
-    grid = np.zeros(shape) if out is None else out
+    grid = np.zeros(shape)
     if len(masses) == 0:
         return grid
     base, frac, ok = _cic_indices(offsets, dx, shape, periodic)

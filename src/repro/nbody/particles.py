@@ -78,7 +78,11 @@ class ParticleSet:
 
     def in_region(self, left_edge, right_edge) -> np.ndarray:
         """Boolean mask of particles inside [left, right) (float64 compare —
-        adequate for region membership, which is cell-scale)."""
+        adequate for region membership, which is cell-scale).
+
+        This is the definition of region membership; the solvers query
+        :meth:`repro.amr.hierarchy.Hierarchy.particles_in_region`, which
+        returns the same particles without testing every one."""
         pos = self.positions.hi + self.positions.lo
         left = np.asarray(left_edge, float)
         right = np.asarray(right_edge, float)

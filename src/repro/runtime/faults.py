@@ -357,7 +357,8 @@ def apply_checkpoint_bitflip(path: str) -> dict:
     Flipping raw file bytes would be caught by the zip CRC long before
     any digest check, so this models the scarier failure: the npz is
     decoded, one mantissa bit of the first float64 array's first element
-    is flipped, and the file is re-encoded in place.  The result loads
+    is flipped, and the file is re-encoded in place with the stored
+    (uncompressed) layout real checkpoints use.  The result loads
     cleanly and carries silently-wrong physics — detectable only by the
     sha256 sidecar written over the original bytes.  Deterministic:
     same file, same corruption.
@@ -377,7 +378,7 @@ def apply_checkpoint_bitflip(path: str) -> dict:
     bits[0] ^= np.uint64(1) << np.uint64(51)  # high mantissa bit
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        np.savez(fh, **arrays)  # the layout save_hierarchy writes
     os.replace(tmp, path)
     return {"path": path, "array": target, "bit": 51}
 

@@ -181,3 +181,64 @@ class TestCheckpoint:
         np.savez_compressed(p, **data)
         with pytest.raises(ValueError):
             load_hierarchy(p)
+
+
+class TestStoredLayout:
+    """Checkpoints are written uncompressed; legacy deflated ones still
+    load and verify."""
+
+    def test_save_writes_only_stored_entries(self, populated_hierarchy,
+                                             tmp_path):
+        import zipfile
+
+        p = str(tmp_path / "dump.npz")
+        save_hierarchy(populated_hierarchy, p)
+        with zipfile.ZipFile(p) as zf:
+            infos = zf.infolist()
+        assert infos
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+
+    def _legacy_pair(self, hierarchy, run_dir):
+        """A deflated checkpoint pair, as earlier releases wrote it."""
+        import os
+        import zipfile
+
+        from repro.runtime.checkpoint_policy import (
+            CheckpointPolicy,
+            RunState,
+            write_digest,
+        )
+
+        os.makedirs(run_dir)
+        npz = CheckpointPolicy.data_path(run_dir, 1)
+        save_hierarchy(hierarchy, npz)
+        with np.load(npz) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez_compressed(npz, **arrays)
+        with zipfile.ZipFile(npz) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_DEFLATED}
+        write_digest(npz)
+        state = CheckpointPolicy.state_path(run_dir, 1)
+        RunState(step=1, checkpoint=npz).save(state)
+        write_digest(state)
+        return npz
+
+    def test_legacy_compressed_checkpoint_loads_bitexact(
+            self, populated_hierarchy, tmp_path):
+        npz = self._legacy_pair(populated_hierarchy, str(tmp_path / "run"))
+        h2 = load_hierarchy(npz)
+        assert h2.fingerprint() == populated_hierarchy.fingerprint()
+        for g1, g2 in zip(populated_hierarchy.all_grids(), h2.all_grids()):
+            for name, arr in g1.fields.array_items():
+                np.testing.assert_array_equal(arr, g2.fields[name])
+
+    def test_legacy_compressed_checkpoint_passes_chk_verify(
+            self, populated_hierarchy, tmp_path, capsys):
+        from repro.__main__ import main
+
+        run_dir = str(tmp_path / "run")
+        self._legacy_pair(populated_hierarchy, run_dir)
+        assert main(["chk", "verify", run_dir, "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "chk_0000001  ok" in out

@@ -5,6 +5,7 @@ digests, and the new liveness fault kinds."""
 import json
 import os
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -279,8 +280,15 @@ class TestCheckpointDigests:
         sim.make_controller(run_dir).run(T_END, max_root_steps=2)
         step, npz, _state = CheckpointPolicy.latest(run_dir)
         clean = file_sha256(npz)
+        size = os.path.getsize(npz)
         faults.apply_checkpoint_bitflip(npz)
         assert file_sha256(npz) != clean
+        # re-encoded in the layout save_hierarchy writes: only the bytes
+        # of the flipped word (and its CRC) differ
+        assert os.path.getsize(npz) == size
+        with zipfile.ZipFile(npz) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_STORED}
         load_hierarchy(npz)  # no exception: silently wrong physics
         assert not verify_digest(npz)
 

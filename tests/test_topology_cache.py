@@ -3,6 +3,8 @@ cached consumers producing the same answers as direct scans."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.amr import Grid, Hierarchy, build_sibling_map
 from repro.amr.boundary import copy_from_siblings, set_boundary_values
@@ -160,6 +162,99 @@ class TestEpochInvalidation:
         assert len(lv) == 1
         h.particles = ParticleSet.empty()
         assert len(h.finest_level_of_particles()) == 0
+
+
+def _particles(hi, lo=None):
+    n = len(hi)
+    return ParticleSet(PositionDD(hi, lo), np.zeros((n, 3)), np.ones(n))
+
+
+def _cloud(kind, n, n_root, rng):
+    """Particle positions of one of the layouts the index must handle."""
+    if kind == "random":
+        return rng.random((n, 3))
+    if kind == "clustered":
+        centre = rng.random(3)
+        return (centre + 0.02 * rng.standard_normal((n, 3))) % 1.0
+    # on root-cell faces and subcell faces, exactly
+    return rng.integers(0, 4 * n_root, (n, 3)) / (4.0 * n_root)
+
+
+def _box(kind, n_root, pos, rng):
+    """A query box: random, face-aligned, particle-aligned, padded or
+    inverted (empty)."""
+    if kind == "faces":
+        left = rng.integers(-1, n_root, 3) / n_root
+        return left, left + rng.integers(1, n_root + 2, 3) / n_root
+    if kind == "particle" and len(pos):
+        left = pos[rng.integers(len(pos))]
+        right = pos[rng.integers(len(pos))]
+        return np.minimum(left, right), np.maximum(left, right)
+    left = rng.random(3) * 1.2 - 0.1
+    pad = 1.0 / n_root if kind == "padded" else 0.0
+    right = left + rng.random(3) * 0.7 + pad
+    if kind == "inverted":
+        return right, left
+    return left - pad, right
+
+
+class TestParticleRegionIndex:
+    @given(st.sampled_from(["random", "clustered", "lattice"]),
+           st.sampled_from([1, 5, 8, 16]), st.integers(0, 300),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_scan(self, cloud, n_root, n, seed):
+        rng = np.random.default_rng(seed)
+        hi = _cloud(cloud, n, n_root, rng)
+        lo = 1e-20 * rng.standard_normal(hi.shape)
+        h = Hierarchy(n_root=n_root)
+        h.particles = _particles(hi, lo)
+        pos = hi + lo
+        for kind in ("random", "faces", "particle", "padded", "inverted") * 4:
+            left, right = _box(kind, n_root, pos, rng)
+            expect = np.nonzero(h.particles.in_region(left, right))[0]
+            got = h.particles_in_region(left, right)
+            np.testing.assert_array_equal(got, expect)
+            assert got.dtype == expect.dtype
+
+    def test_whole_box_and_beyond(self):
+        rng = np.random.default_rng(3)
+        h = Hierarchy(n_root=8)
+        h.particles = _particles(rng.random((100, 3)))
+        np.testing.assert_array_equal(
+            h.particles_in_region([0.0] * 3, [1.0] * 3), np.arange(100))
+        np.testing.assert_array_equal(
+            h.particles_in_region([-0.5] * 3, [1.5] * 3), np.arange(100))
+        assert len(h.particles_in_region([1.0] * 3, [1.5] * 3)) == 0
+
+    def test_empty_particle_set(self):
+        h = Hierarchy(n_root=8)
+        for left, right in (([0.0] * 3, [1.0] * 3), ([0.25] * 3, [0.5] * 3)):
+            got = h.particles_in_region(left, right)
+            assert len(got) == 0
+            assert got.dtype == np.nonzero(h.particles.in_region(left, right))[0].dtype
+
+    def test_rebuilt_after_particles_move(self):
+        h = Hierarchy(n_root=8)
+        h.particles = _particles(np.array([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]]))
+        box = ([0.0] * 3, [0.25] * 3)
+        np.testing.assert_array_equal(h.particles_in_region(*box), [0])
+        index = h._particle_index()
+        assert h._particle_index() is index  # served from cache
+        h.particles.positions.hi[1] = 0.2
+        h.notify_particles_moved()
+        assert h._particle_index() is not index
+        np.testing.assert_array_equal(h.particles_in_region(*box), [0, 1])
+
+    def test_rebuilt_after_particle_reassignment(self):
+        h = Hierarchy(n_root=8)
+        h.particles = _particles(np.array([[0.1, 0.1, 0.1]]))
+        box = ([0.0] * 3, [0.25] * 3)
+        np.testing.assert_array_equal(h.particles_in_region(*box), [0])
+        h.particles = _particles(np.array([[0.9, 0.9, 0.9], [0.2, 0.2, 0.2]]))
+        np.testing.assert_array_equal(h.particles_in_region(*box), [1])
+        h.particles = ParticleSet.empty()
+        assert len(h.particles_in_region(*box)) == 0
 
 
 class TestTimersSection:
